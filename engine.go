@@ -639,13 +639,18 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 	}
 	// Match the relational path's deterministic (From, To) order — the
 	// strategies emit in their own scan orders.
+	sortPairs(out)
+	return out, rep, nil
+}
+
+// sortPairs orders pairs by (From, To).
+func sortPairs(out []Pair) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].From != out[j].From {
 			return out[i].From < out[j].From
 		}
 		return out[i].To < out[j].To
 	})
-	return out, rep, nil
 }
 
 // fromPlanStrategy maps the planner's choice onto the public enum.

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"provrpq"
@@ -55,6 +57,13 @@ type IngestRow struct {
 	// watchers computed (0 with no watchers); it proves the subscribers
 	// did the per-append delta work while the writers ran.
 	WatchPairs int `json:"watch_pairs"`
+	// DeltaP50Ms and DeltaP99Ms are the per-event delta compute times
+	// (DeltaPairs) across the row's watchers; LaggedWatchers counts
+	// watchers whose bounded queue overflowed, which the server would
+	// have dropped.
+	DeltaP50Ms     float64 `json:"delta_p50_ms"`
+	DeltaP99Ms     float64 `json:"delta_p99_ms"`
+	LaggedWatchers int     `json:"lagged_watchers"`
 }
 
 // FigIngest is the group-commit ingest experiment (beyond the paper):
@@ -62,7 +71,10 @@ type IngestRow struct {
 // commit (one manifest fsync per batch, everything under the store mutex)
 // versus group commit (payload staging outside the lock, coalesced
 // leader/follower manifest writes), and group commit again with standing
-// queries subscribed — the serving-while-watching cost. Each writer owns
+// queries subscribed — the serving-while-watching cost. Watchers run in
+// the server's topology: the append path only enqueues each event on the
+// watcher's bounded queue, and the watcher's own goroutine evaluates the
+// delta, so appenders never wait on delta work. Each writer owns
 // one run, so payload staging never contends; the manifest is the single
 // shared commit point both protocols must fund, which is exactly what
 // group commit amortizes. Batches are node-bearing segments of a real
@@ -127,8 +139,9 @@ func FigIngest(cfg Config) error {
 		bestOf = 1
 	}
 	report := IngestReport{Dataset: d.Name, Quick: cfg.Quick, BatchesPerWriter: batchesPerWriter, BestOf: bestOf}
-	fmt.Fprintf(cfg.W, "%-9s %-8s %-10s %-10s %-10s %-12s %-12s %-12s %-11s\n",
-		"writers", "mode", "watchers", "edges", "seconds", "edges/sec", "commits", "coalescing", "watch-pairs")
+	fmt.Fprintf(cfg.W, "%-9s %-8s %-10s %-10s %-10s %-12s %-12s %-12s %-11s %-11s %-11s %-7s\n",
+		"writers", "mode", "watchers", "edges", "seconds", "edges/sec", "commits", "coalescing", "watch-pairs",
+		"delta-p50ms", "delta-p99ms", "lagged")
 	for _, writers := range writerCounts {
 		for _, cell := range []struct {
 			mode     string
@@ -159,9 +172,10 @@ func FigIngest(cfg Config) error {
 				}
 			}
 			report.Rows = append(report.Rows, row)
-			fmt.Fprintf(cfg.W, "%-9d %-8s %-10d %-10d %-10.3f %-12.0f %-12d %-12.2f %-11d\n",
+			fmt.Fprintf(cfg.W, "%-9d %-8s %-10d %-10d %-10.3f %-12.0f %-12d %-12.2f %-11d %-11.3f %-11.3f %-7d\n",
 				row.Writers, row.Mode, row.Watchers, row.Edges, row.Seconds,
-				row.EdgesPerSec, row.GroupCommits, row.Coalescing, row.WatchPairs)
+				row.EdgesPerSec, row.GroupCommits, row.Coalescing, row.WatchPairs,
+				row.DeltaP50Ms, row.DeltaP99Ms, row.LaggedWatchers)
 		}
 	}
 	return writeFigJSON(cfg, "ingest", report)
@@ -291,21 +305,9 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 		}
 	}
 
-	watchPairs := 0
-	if watchers > 0 {
-		var wmu sync.Mutex
-		for i := 0; i < watchers; i++ {
-			cancel := cat.SubscribeAppends(func(ev provrpq.AppendEvent) {
-				pairs, err := cat.DeltaPairs(ev, watchQuery)
-				if err != nil {
-					return // surfaced by the zero watch_pairs count
-				}
-				wmu.Lock()
-				watchPairs += len(pairs)
-				wmu.Unlock()
-			})
-			defer cancel()
-		}
+	ws := make([]*benchWatcher, watchers)
+	for i := range ws {
+		ws[i] = startWatcher(cat, watchQuery)
 	}
 
 	groupsBefore, _ := store.CommitStats()
@@ -326,6 +328,20 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	// The watchers' backlog drains outside the timed region; what it cost
+	// them is the delta latency columns.
+	watchPairs, lagged := 0, 0
+	var deltas []time.Duration
+	for _, w := range ws {
+		if err := w.stop(); err != nil {
+			errs = append(errs, err)
+		}
+		watchPairs += w.pairs
+		deltas = append(deltas, w.deltas...)
+		if w.lagged.Load() {
+			lagged++
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return IngestRow{}, err
@@ -355,7 +371,10 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 		Seconds:     elapsed.Seconds(),
 		EdgesPerSec: float64(totalEdges) / elapsed.Seconds(),
 		WatchPairs:  watchPairs,
+		DeltaP50Ms:  quantileMs(deltas, 0.50),
+		DeltaP99Ms:  quantileMs(deltas, 0.99),
 	}
+	row.LaggedWatchers = lagged
 	row.GroupCommits = commits
 	if commits > 0 {
 		row.Coalescing = float64(totalBatches) / float64(commits)
@@ -364,3 +383,71 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 }
 
 func runName(w int) string { return fmt.Sprintf("ingest-%d", w) }
+
+// watchQueueLen bounds one watcher's unconsumed append events. It matches
+// the server's per-watcher queue, so a bench watcher lags exactly when a
+// server watcher would be dropped.
+const watchQueueLen = 1024
+
+// benchWatcher is one standing-query subscriber in the server's topology:
+// the append path only enqueues (never blocks — a full queue marks the
+// watcher lagged, where the server would drop it) and the watcher's own
+// goroutine evaluates each event's delta.
+type benchWatcher struct {
+	cancel func()
+	events chan provrpq.AppendEvent
+	done   chan struct{}
+	lagged atomic.Bool
+
+	// Owned by the watcher goroutine until done is closed.
+	pairs  int
+	deltas []time.Duration
+	err    error
+}
+
+func startWatcher(cat *provrpq.Catalog, q *provrpq.Query) *benchWatcher {
+	w := &benchWatcher{
+		events: make(chan provrpq.AppendEvent, watchQueueLen),
+		done:   make(chan struct{}),
+	}
+	w.cancel = cat.SubscribeAppends(func(ev provrpq.AppendEvent) {
+		select {
+		case w.events <- ev:
+		default:
+			w.lagged.Store(true)
+		}
+	})
+	go func() {
+		defer close(w.done)
+		for ev := range w.events {
+			if w.lagged.Load() || w.err != nil {
+				continue // dropped: drain without work
+			}
+			start := time.Now()
+			pairs, err := cat.DeltaPairs(ev, q)
+			w.deltas = append(w.deltas, time.Since(start))
+			w.pairs += len(pairs)
+			w.err = err
+		}
+	}()
+	return w
+}
+
+// stop unsubscribes, waits for the queued events to drain and returns the
+// first delta error. Call it only once no append is in flight.
+func (w *benchWatcher) stop() error {
+	w.cancel()
+	close(w.events)
+	<-w.done
+	return w.err
+}
+
+// quantileMs returns the q-quantile of ds in milliseconds (0 when empty).
+func quantileMs(ds []time.Duration, q float64) float64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return float64(s[int(q*float64(len(s)-1))]) / float64(time.Millisecond)
+}

@@ -180,9 +180,10 @@ func (p *Planner) ReachDensity() float64 {
 // where ρ is the sampled reachability density, ds/dt the seed tag's
 // distinct source/target counts, and estL = n1·min(1, ρ·ds) (resp. estR)
 // estimates the candidate set sizes — the probability a random endpoint
-// reaches one of ds seed sources is ≈ min(1, ρ·ds). Every term degrades
-// gracefully: an empty run, an empty list or an absent seed tag yields
-// zero estimates, never a division.
+// reaches one of ds seed sources is ≈ min(1, ρ·ds). A seed tag with no
+// occurrence costs 0 (the seeded scan exits before decoding) and is always
+// chosen. Every term degrades gracefully: an empty run or an empty list
+// yields zero estimates, never a division.
 //
 // The decision compares the unit estimates weighted by per-strategy
 // per-unit costs: the static StaticUnitNanos constant for every strategy
@@ -214,6 +215,16 @@ func (p *Planner) Plan(env *core.Env, n1, n2 int) Decision {
 		estR := f2 * minf(1, rho*dt)
 		d.SeedTag, d.SeedCount = seed, count
 		d.Reverse = de.Targets < de.Sources
+		if count == 0 {
+			// An absent required tag: the seeded scan returns before
+			// decoding anything, so it costs nothing and always wins. A
+			// zero estimate also keeps the O(1) exit out of the measured
+			// timings (Timings.Observe ignores zero units), which would
+			// otherwise bill a microsecond at n1+n2 units and drag the
+			// seeded strategy's per-unit cost toward zero.
+			d.Strategy = Seeded
+			return d
+		}
 		d.CostSeeded = (f1 + f2 + ds + dt) + rho*(f1*ds+f2*dt) + estL*estR
 		if d.CostSeeded*d.UnitNanosSeeded < d.CostOptRPL*d.UnitNanosOptRPL {
 			d.Strategy = Seeded

@@ -17,7 +17,8 @@ import (
 //     required symbol), so sources that reach no occurrence source and
 //     targets unreachable from every occurrence target are discarded by two
 //     output-linear label joins (reach.AllPairs against the distinct seed
-//     endpoints). An absent seed tag means no pair can match.
+//     endpoints). An absent seed tag means no pair can match, and the
+//     scan returns before decoding a single label.
 //  2. The surviving candidate pairs are verified exactly: safe queries by
 //     the constant-time label decode; unsafe queries by expanding through
 //     the minimal DFA — forward from each source candidate, or backward
@@ -40,16 +41,19 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 		// that avoid it. Fall back to the unseeded paths instead.
 		seed = ""
 	}
-	la, lb := labelsOf(run, l1), labelsOf(run, l2)
 	if seed == "" {
 		if env.Safe() {
-			return env.AllPairsSafe(la, lb, core.OptRPL, emit)
+			return env.AllPairsSafe(labelsOf(run, l1), labelsOf(run, l2), core.OptRPL, emit)
 		}
 		return expandPairs(env, run, allIdx(len(l1)), allIdx(len(l2)), l1, l2, len(l2) < len(l1), emit)
 	}
 	if ix.Count(seed) == 0 {
-		return nil // required tag absent from the run: nothing can match
+		// Required tag absent from the run: nothing can match. Checked
+		// before any label is decoded, so the exit costs O(1) whatever the
+		// list sizes.
+		return nil
 	}
+	la, lb := labelsOf(run, l1), labelsOf(run, l2)
 
 	// Distinct seed endpoints: several occurrences often share sources or
 	// targets, and the candidate joins only care about the distinct sets.

@@ -160,6 +160,7 @@ type Server struct {
 	mIngestBatches *metrics.Counter    // ingest groups committed through the append path
 	mWatchDeltas   *metrics.Counter    // delta events written to standing-query subscribers
 	mWatchDropped  *metrics.Counter    // watchers dropped for lagging behind the append rate
+	mWatchDelta    *metrics.Histogram  // standing-query delta compute time (DeltaPairs), per event
 
 	// testDelay, when set (tests only), runs inside the timeout scope
 	// before every routed request, making deadline expiry deterministic.
@@ -233,6 +234,9 @@ func New(cat *provrpq.Catalog, opts Options) *Server {
 		"Delta events written to standing-query (SSE) subscribers.")
 	s.mWatchDropped = s.reg.Counter("provrpq_watch_dropped_total",
 		"Standing-query subscribers dropped for lagging behind the append rate.")
+	s.mWatchDelta = s.reg.Histogram("provrpq_watch_delta_seconds",
+		"Standing-query delta compute time per append event and watcher (the delta layer of watch lag).",
+		metrics.LatencyBuckets)
 	// Callback metrics sample live state at scrape time; re-registration
 	// rebinds them, so the newest server over a shared registry wins.
 	s.reg.Func("provrpq_http_in_flight", "Handlers currently doing work (held across a timeout).",

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"provrpq"
+	"provrpq/internal/metrics"
 )
 
 // ---- 413 request_too_large on every mutating route ----
@@ -506,6 +507,63 @@ func TestServerWatchSSE(t *testing.T) {
 	for _, p := range want.Pairs {
 		if !union[[2]string{p.From, p.To}] {
 			t.Fatalf("pair %v missing from snapshot+deltas", p)
+		}
+	}
+}
+
+// TestServerWatchDeltaMetric: the delta layer of watch lag is observable —
+// once one delta event has been written, /metrics exposes the
+// provrpq_watch_delta_seconds histogram with that one observation.
+func TestServerWatchDeltaMetric(t *testing.T) {
+	cat, c := newService(t, Options{Metrics: metrics.NewRegistry()})
+	if err := cat.RegisterSpec("intro", introSpec(t)); err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := cat.Spec("intro")
+	native, err := spec.Derive(provrpq.DeriveOptions{Seed: 41, TargetEdges: 180})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullJSON, err := provrpq.EncodeRun(native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := native.NumNodes()
+	baseJSON, batches := splitRunJSONAt(t, fullJSON, []int{n / 2})
+	c.do("POST", "/v1/runs", map[string]any{"name": "r1", "spec": "intro", "run": json.RawMessage(baseJSON)},
+		http.StatusCreated, nil)
+
+	body, _ := json.Marshal(map[string]string{"run": "r1", "query": "_*.s._*.publish"})
+	resp, err := c.hc.Post(c.base+"/v1/watch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if event, _ := readSSE(t, br); event != "snapshot" {
+		t.Fatalf("first event = %q, want snapshot", event)
+	}
+	c.do("POST", "/v1/runs/r1/edges", json.RawMessage(batches[0]), http.StatusOK, nil)
+	if event, _ := readSSE(t, br); event != "delta" {
+		t.Fatalf("event after append = %q, want delta", event)
+	}
+
+	mresp, err := c.hc.Get(c.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	raw, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE provrpq_watch_delta_seconds histogram",
+		`provrpq_watch_delta_seconds_bucket{le="+Inf"} 1`,
+		"provrpq_watch_delta_seconds_count 1",
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("/metrics is missing %q", want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 
 	"provrpq"
 )
@@ -183,7 +184,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 				// between subscribing and snapshotting).
 				continue
 			}
+			start := time.Now()
 			delta, err := s.cat.DeltaPairs(ev, q)
+			s.mWatchDelta.Observe(time.Since(start).Seconds())
 			if err != nil {
 				// Unreachable for a query validated safe above, but a
 				// half-closed stream must still terminate cleanly.

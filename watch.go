@@ -1,11 +1,6 @@
 package provrpq
 
-import (
-	"fmt"
-	"sort"
-
-	"provrpq/internal/derive"
-)
+import "fmt"
 
 // Standing queries: the paper's dynamic-label property (Section II-B) makes
 // append deltas for safe queries append-only. A safe query is answered from
@@ -14,8 +9,11 @@ import (
 // over pre-existing node pairs, and every *new* match must involve at least
 // one node the batch created. Watching a safe query therefore costs one
 // snapshot at registration plus, per append, a delta over only the pairs
-// that involve a batch node: O(batch × run) pairwise label decodes, never a
-// re-evaluation of the whole run.
+// that involve a batch node — never a re-evaluation of the whole run. The
+// delta is evaluated by the planner over batch × run endpoint lists, so it
+// costs what the cheapest all-pairs strategy costs for those lists: when
+// a tag the query requires never occurs in the run, the seeded strategy
+// answers in O(1) once the run's index exists.
 //
 // Unsafe queries have no such property: their evaluation consults the
 // grown adjacency, so an edges-only batch (which creates no nodes) can
@@ -90,48 +88,48 @@ func (c *Catalog) notifyAppend(ev AppendEvent) {
 // union of a full evaluation at version V and the deltas of every event
 // after V equals a full evaluation at the latest version — the invariant
 // the differential tests pin down. An edges-only batch yields no delta.
+// Pairs are sorted by (From, To).
 //
-// The scan is pure label decoding — 2·newNodes·runNodes constant-time
-// pairwise checks against the event's immutable run version — so it needs
-// no engine, no index, and no locks beyond the plan cache's.
+// The delta is two planner-chosen all-pairs scans over the event's
+// immutable run version: new × all (every pair whose source is new) and
+// old × new (the rest). It runs on the catalog's engine while that engine
+// still serves ev.Run — so the index and planner statistics are shared
+// with read-after-write queries and built once per version — and on a
+// fresh engine over ev.Run for an event the run has already grown past.
 func (c *Catalog) DeltaPairs(ev AppendEvent, q *Query) ([]Pair, error) {
 	if ev.Run == nil || q == nil {
 		return nil, fmt.Errorf("provrpq: DeltaPairs: nil run or query")
 	}
-	env, err := c.plans.c.Get(ev.Run.r.Spec, q.node)
+	eng, err := c.Engine(ev.RunName)
+	if err != nil || eng.Run() != ev.Run {
+		eng = NewEngineOpts(ev.Run, EngineOptions{Workers: c.workers, PlanCache: c.plans})
+	}
+	safe, err := eng.IsSafe(q)
 	if err != nil {
 		return nil, err
 	}
-	if !env.Safe() {
+	if !safe {
 		return nil, fmt.Errorf("%w: %s", ErrUnsafeWatch, q)
 	}
-	r := ev.Run.r
-	n := r.NumNodes()
+	all := ev.Run.AllNodes()
 	lo := int(ev.FirstNewNode)
-	if lo < 0 || lo > n {
-		return nil, fmt.Errorf("provrpq: DeltaPairs: first new node %d outside run of %d nodes", lo, n)
+	if lo < 0 || lo > len(all) {
+		return nil, fmt.Errorf("provrpq: DeltaPairs: first new node %d outside run of %d nodes", lo, len(all))
 	}
-	var out []Pair
-	for u := lo; u < n; u++ {
-		ub := r.LabelBytes(derive.NodeID(u))
-		for v := 0; v < n; v++ {
-			vb := r.LabelBytes(derive.NodeID(v))
-			// u → v covers every pair whose source is new; old → u covers
-			// the rest (new → new sources are already in the u loop).
-			if env.PairwiseBytesUnchecked(ub, vb) {
-				out = append(out, Pair{NodeID(u), NodeID(v)})
-			}
-			if v < lo && env.PairwiseBytesUnchecked(vb, ub) {
-				out = append(out, Pair{NodeID(v), NodeID(u)})
-			}
-		}
+	if lo == len(all) {
+		return nil, nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	old, fresh := all[:lo], all[lo:]
+	out, err := eng.AllPairs(q, fresh, all, Auto)
+	if err != nil {
+		return nil, err
+	}
+	back, err := eng.AllPairs(q, old, fresh, Auto)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, back...)
+	sortPairs(out)
 	return out, nil
 }
 

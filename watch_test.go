@@ -248,3 +248,146 @@ func TestDeltaPairsSorted(t *testing.T) {
 		t.Skip("no safe query produced a non-empty delta for this fixture")
 	}
 }
+
+// deltaShapes are standing queries covering each way DeltaPairs can run
+// through the planner on the intro fixture.
+var deltaShapes = []struct {
+	name, query string
+	// check asserts the shape on the plan of a full scan of the base run
+	// (first) and of the final run.
+	check func(base, final *PlanReport) bool
+}{
+	// A required tag that never occurs: the seeded O(1) exit.
+	{"absent seed", "_*.ghost._*", func(b, f *PlanReport) bool {
+		return b.Strategy == StrategySeeded && b.SeedCount == 0 && f.Strategy == StrategySeeded && f.SeedCount == 0
+	}},
+	// A required tag present in the base, once: seeded candidate joins.
+	{"rare seed", "_*.Analysis._*", func(b, f *PlanReport) bool {
+		return b.SeedTag == "Analysis" && b.SeedCount == 1 && f.SeedCount == 1
+	}},
+	// A seed absent until the batch that creates it.
+	{"late seed", "_*.s._*.publish", func(b, f *PlanReport) bool {
+		return b.SeedTag == "publish" && b.SeedCount == 0 && f.SeedCount == 1
+	}},
+	// No required tag: no seed, a filtered or nested-loop scan.
+	{"tagless", "_*", func(b, f *PlanReport) bool {
+		return b.SeedTag == "" && f.SeedTag == "" && b.Strategy != StrategySeeded
+	}},
+}
+
+// TestDeltaPairsEveryShape extends the snapshot ∪ deltas differential to
+// every delta shape, at every version rather than only the last, and over
+// both engine paths: each delta is computed once while the catalog's
+// engine still serves the event's run (shared with read-after-write) and
+// again after the run has grown past it (a lagging event, evaluated on a
+// fresh engine over ev.Run). Both must agree.
+func TestDeltaPairsEveryShape(t *testing.T) {
+	spec := introSpec(t)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		full, err := spec.Derive(DeriveOptions{Seed: seed, TargetEdges: 120 + rng.Intn(120)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullJSON, err := EncodeRun(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := full.NumNodes()
+		cuts := []int{n / 4}
+		for cuts[len(cuts)-1] < n {
+			cuts = append(cuts, min(n, cuts[len(cuts)-1]+1+rng.Intn(n/6+1)))
+		}
+		baseJSON, batchJSONs := splitEncodedRun(t, fullJSON, cuts)
+		cat := NewCatalog(CatalogOptions{})
+		if err := cat.RegisterSpec("wf", spec); err != nil {
+			t.Fatal(err)
+		}
+		base, err := DecodeRun(spec, baseJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddRun("r1", "wf", base); err != nil {
+			t.Fatal(err)
+		}
+		var events []AppendEvent
+		cancel := cat.SubscribeAppends(func(ev AppendEvent) { events = append(events, ev) })
+
+		// Live deltas: computed right after each append, while the
+		// catalog's engine serves the event's run.
+		live := make([][][]Pair, len(deltaShapes))
+		for bi, bj := range batchJSONs {
+			b, err := DecodeBatch(spec, bj)
+			if err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, bi, err)
+			}
+			if _, err := cat.AppendEdges("r1", b); err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, bi, err)
+			}
+			ev := events[len(events)-1]
+			if eng, err := cat.Engine("r1"); err != nil || eng.Run() != ev.Run {
+				t.Fatalf("seed %d batch %d: catalog engine does not serve the event's run", seed, bi)
+			}
+			for si, sh := range deltaShapes {
+				delta, err := cat.DeltaPairs(ev, MustParseQuery(sh.query))
+				if err != nil {
+					t.Fatalf("seed %d batch %d %s: %v", seed, bi, sh.name, err)
+				}
+				live[si] = append(live[si], delta)
+			}
+		}
+		cancel()
+		cur, _ := cat.Run("r1")
+
+		for si, sh := range deltaShapes {
+			q := MustParseQuery(sh.query)
+			baseRep, err := NewEngine(base).Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			finalRep, err := NewEngine(cur).Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !baseRep.Safe || !sh.check(baseRep, finalRep) {
+				t.Fatalf("seed %d %s: fixture lost its shape: base plan %+v, final plan %+v", seed, sh.name, baseRep, finalRep)
+			}
+			snap, err := NewEngine(base).Evaluate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			union := watchPairSet(snap)
+			for i, ev := range events {
+				if i < len(events)-1 && ev.Run == cur {
+					t.Fatalf("seed %d event %d: expected a lagging event", seed, i)
+				}
+				delta, err := cat.DeltaPairs(ev, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := samePairs(delta, live[si][i]); err != nil {
+					t.Fatalf("seed %d %s event %d: lagging delta differs from live delta: %v", seed, sh.name, i, err)
+				}
+				for _, p := range delta {
+					if union[p] {
+						t.Fatalf("seed %d %s: pair %v duplicated by delta %d", seed, sh.name, p, i)
+					}
+					union[p] = true
+				}
+				want, err := NewEngine(ev.Run).Evaluate(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) != len(union) {
+					t.Fatalf("seed %d %s version %d: snapshot+deltas has %d pairs, full evaluation %d",
+						seed, sh.name, ev.Version, len(union), len(want))
+				}
+				for _, p := range want {
+					if !union[p] {
+						t.Fatalf("seed %d %s version %d: pair %v missing from snapshot+deltas", seed, sh.name, ev.Version, p)
+					}
+				}
+			}
+		}
+	}
+}
